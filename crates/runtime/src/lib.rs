@@ -23,7 +23,7 @@
 //!   [`bp_ir::Program`] attached to the [`JobSpec`], checkpointing an
 //!   **exact program position** ([`Checkpoint::program_pos`]) plus the
 //!   live node set after each op, and resuming from the latest snapshot
-//!   on retry — through the same `Evaluator::step_op` dispatch every
+//!   on retry — through the same `Evaluator::step_program_op` step every
 //!   other IR consumer uses.
 //! * [`RuntimeError`] — the terminal-state taxonomy: every submitted job
 //!   ends in exactly one typed outcome, and

@@ -2,10 +2,11 @@
 //!
 //! [`Runtime::run_program`] is the runtime's binding of the shared
 //! program IR ([`bp_ir::Program`]): the job spec carries the program, the
-//! interpreter dispatch is `bp-ckks`'s [`Evaluator::step_op`] (the same
-//! one `run_program` on the evaluator and the oracle's differential
-//! harness use), and every checkpoint records an exact op position plus
-//! the live node set — so resume means "continue at `ops[pos]`", not a
+//! interpreter step is `bp-ckks`'s
+//! [`bp_ckks::Evaluator::step_program_op`] (the same one `run_program` on
+//! the evaluator and the oracle use, so traces carry IR node ids here
+//! too), and every checkpoint records an exact op position plus the live
+//! node set — so resume means "continue at `ops[pos]`", not a
 //! per-workload step convention. Ciphertexts travel through the `bp-ckks`
 //! wire format, which preserves exact factored scales and chain
 //! positions; an interrupted run therefore resumes **bit-identically**.
@@ -13,7 +14,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::error::RuntimeError;
 use crate::job::{JobSpec, Runtime};
-use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey, Evaluator};
+use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey};
 use bp_ir::Program;
 use std::sync::Mutex;
 
@@ -196,9 +197,14 @@ impl Runtime {
 
             let mut plain_src = |pseed: u64, n: usize| plain(pseed, n);
             let mut checkpoints = 0u64;
-            for (k, op) in program.ops.iter().enumerate().skip(start) {
+            for k in start..program.ops.len() {
                 jctx.check()?;
-                let ct = step(&ev, op, &nodes, ek, &mut plain_src)?;
+                let live = |i: usize| {
+                    nodes[i]
+                        .as_ref()
+                        .expect("operands of a validated program are live")
+                };
+                let ct = ev.step_program_op(&program, k, live, ek, &mut plain_src)?;
                 nodes[program.inputs + k] = Some(ct);
                 let pos = k + 1;
                 if every > 0 && (pos % every == 0 || pos == program.ops.len()) {
@@ -247,29 +253,6 @@ impl Runtime {
             })
         })
     }
-}
-
-/// One interpreter step over sparse node storage. Split out so the borrow
-/// of `nodes` inside the lookup closure ends before the caller writes the
-/// result back.
-fn step(
-    ev: &Evaluator<'_>,
-    op: &bp_ir::Op,
-    nodes: &[Option<Ciphertext>],
-    ek: &EvaluationKey,
-    plain: &mut dyn bp_ckks::PlainSource,
-) -> Result<Ciphertext, RuntimeError> {
-    ev.step_op(
-        op,
-        |i| {
-            nodes[i]
-                .as_ref()
-                .expect("operands of a validated program are live")
-        },
-        ek,
-        plain,
-    )
-    .map_err(RuntimeError::from)
 }
 
 #[cfg(test)]
