@@ -20,12 +20,10 @@ use crate::json::{Json, JsonError, Obj};
 #[cfg(feature = "enabled")]
 use crate::spans::{self, SpanKind};
 
-/// Schema identifier written into serialized traces. `v3` adds the
-/// optional per-entry `ir_op` field (the [`bp_ir::Program`] node the op
-/// computed, when the evaluator ran under `run_program`); `v2` adds the
-/// per-entry `log_q` field (modulus bits in use at the result level).
-/// Older documents parse with `ir_op = None` / `log_q = 0`.
-pub const TRACE_SCHEMA: &str = "bitpacker-eval-trace/v3";
+/// Schema identifier written into serialized traces, and the only one
+/// [`EvalTrace::from_json`] reads. Defined in `bp-ir`, whose program
+/// reader also ingests traces.
+pub use bp_ir::EVAL_TRACE_SCHEMA as TRACE_SCHEMA;
 
 /// Maximum entries retained by the global recorder between [`take`]
 /// calls; overflow is counted in [`EvalTrace::dropped`].
@@ -65,11 +63,9 @@ pub struct OpRecord {
     pub scale_log2: f64,
     /// `log2 Q` — total modulus bits in use at the result level (the
     /// numerator of the paper's packing efficiency `log Q / (R·w)`).
-    /// 0 for traces recorded before schema v2.
     pub log_q: f64,
     /// The `bp_ir::Program` node this op computed, when the evaluator
-    /// was executing an IR program via `run_program`. `None` for ad-hoc
-    /// evaluator calls and for traces recorded before schema v3.
+    /// was executing an IR program. `None` for ad-hoc evaluator calls.
     pub ir_op: Option<u64>,
 }
 
@@ -186,8 +182,10 @@ impl EvalTrace {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or_else(|| fail("missing schema"))?;
-        if !schema.starts_with("bitpacker-eval-trace/") {
-            return Err(fail("not an eval-trace document"));
+        if schema != TRACE_SCHEMA {
+            return Err(fail(&format!(
+                "schema {schema:?}, expected {TRACE_SCHEMA:?}"
+            )));
         }
         let meta_doc = doc.get("meta").ok_or_else(|| fail("missing meta"))?;
         let meta_u64 = |key: &str| {
@@ -243,7 +241,7 @@ impl EvalTrace {
                     noise_bits: e_f64("noise_bits")?,
                     clear_bits: e_f64("clear_bits")?,
                     scale_log2: e_f64("scale_log2")?,
-                    log_q: e.get("log_q").and_then(Json::as_f64).unwrap_or(0.0),
+                    log_q: e_f64("log_q")?,
                     ir_op: e.get("ir_op").and_then(Json::as_u64),
                 },
             });
@@ -438,29 +436,11 @@ mod tests {
     fn from_json_rejects_wrong_schema_and_unknown_op() {
         assert!(EvalTrace::from_json("{\"schema\":\"other/v1\"}").is_err());
         let mut doc = sample_trace().to_json();
+        // Pre-v3 documents are no longer read.
+        let old = doc.replace("bitpacker-eval-trace/v3", "bitpacker-eval-trace/v2");
+        assert!(EvalTrace::from_json(&old).is_err());
         doc = doc.replace("\"op\":\"mul\"", "\"op\":\"frobnicate\"");
         assert!(EvalTrace::from_json(&doc).is_err());
-    }
-
-    #[test]
-    fn v1_traces_without_log_q_parse_with_zero_default() {
-        let mut doc = sample_trace().to_json();
-        doc = doc.replace("bitpacker-eval-trace/v3", "bitpacker-eval-trace/v1");
-        doc = doc.replace(",\"log_q\":140,\"ir_op\":4", "");
-        doc = doc.replace(",\"log_q\":112", "");
-        let back = EvalTrace::from_json(&doc).expect("v1 parse");
-        assert!(back.entries.iter().all(|e| e.op.log_q == 0.0));
-        assert!(back.entries.iter().all(|e| e.op.ir_op.is_none()));
-    }
-
-    #[test]
-    fn v2_traces_without_ir_op_parse_with_none() {
-        let mut doc = sample_trace().to_json();
-        doc = doc.replace("bitpacker-eval-trace/v3", "bitpacker-eval-trace/v2");
-        doc = doc.replace(",\"ir_op\":4", "");
-        let back = EvalTrace::from_json(&doc).expect("v2 parse");
-        assert!(back.entries.iter().all(|e| e.op.ir_op.is_none()));
-        assert_eq!(back.entries[0].op.log_q, 140.0);
     }
 
     #[test]

@@ -102,15 +102,17 @@ fn all_reads_are_zero_after_recording_attempts() {
 #[test]
 fn data_model_and_json_work_without_the_feature() {
     // Replay tooling parses traces even in feature-off builds.
-    let doc = r#"{"schema":"bitpacker-eval-trace/v1",
+    let doc = r#"{"schema":"bitpacker-eval-trace/v3",
         "meta":{"workload":"w","n":8192,"dnum":3,"special":1,"word_bits":28},
         "dropped":0,
         "entries":[{"seq":0,"op":"rescale","level":2,"residues":4,"shed":1,
                     "added":0,"batched":true,"repair":false,"duration_ns":10,
-                    "noise_bits":2.0,"clear_bits":50.0,"scale_log2":40.0}]}"#;
+                    "noise_bits":2.0,"clear_bits":50.0,"scale_log2":40.0,
+                    "log_q":100,"ir_op":3}]}"#;
     let t = trace::EvalTrace::from_json(doc).expect("parse without feature");
     assert_eq!(t.entries.len(), 1);
     assert_eq!(t.entries[0].op.kind, OpKind::Rescale);
+    assert_eq!(t.entries[0].op.ir_op, Some(3));
     assert_eq!(
         trace::EvalTrace::from_json(&t.to_json()).expect("roundtrip"),
         t
