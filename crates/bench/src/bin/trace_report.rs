@@ -23,8 +23,9 @@
 
 use bp_accel::AcceleratorConfig;
 use bp_bench::RunMeta;
+use bp_ckks::telemetry::spans::SpanKind;
 use bp_ckks::telemetry::trace::{self, EvalTrace, OpKind, TRACE_SCHEMA};
-use bp_ckks::telemetry::{self, counters, efficiency, events, export, profile, spans};
+use bp_ckks::telemetry::{self, counters, efficiency, events, export, profile};
 use bp_ckks::{CkksContext, CkksParams, Representation, SecurityLevel};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -229,14 +230,15 @@ fn main() {
     }
     println!();
     println!("spans:");
-    for s in spans::stats() {
-        if s.count > 0 {
+    for kind in SpanKind::ALL {
+        let (count, total_ns) = tree.by_leaf(kind.name());
+        if count > 0 {
             println!(
                 "  {:<14} count {:>6}  total {:>10.3} ms  mean {:>8.1} us",
-                format!("{:?}", s.kind),
-                s.count,
-                s.total_ns as f64 / 1e6,
-                s.mean_ns() / 1e3,
+                format!("{kind:?}"),
+                count,
+                total_ns as f64 / 1e6,
+                total_ns as f64 / count as f64 / 1e3,
             );
         }
     }

@@ -16,13 +16,13 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// Stable run-environment metadata stamped as the header of every JSON
-/// document the harness emits (`BENCH_cpu.json`, `TRACE_*.json`): schema
+/// document the harness emits (`TRACE_*.json`): schema
 /// version, git commit, machine shape, and the harness-supplied
 /// timestamp. Keeping the header shape fixed lets successive PRs diff
 /// emitted documents mechanically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
-    /// Document schema identifier (e.g. `bitpacker-cpu-bench/v2`).
+    /// Document schema identifier (e.g. `bitpacker-eval-trace/v3`).
     pub schema: String,
     /// `git rev-parse HEAD` of the emitting checkout, or `unknown`.
     pub git_commit: String,
@@ -224,11 +224,11 @@ mod tests {
     #[test]
     fn run_meta_header_has_the_stable_field_set() {
         use bp_telemetry::json::Json;
-        let meta = RunMeta::collect("bitpacker-cpu-bench/v2");
+        let meta = RunMeta::collect("bitpacker-eval-trace/v3");
         let doc = Json::parse(&meta.header().u64("payload", 1).build()).expect("valid JSON");
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
-            Some("bitpacker-cpu-bench/v2")
+            Some("bitpacker-eval-trace/v3")
         );
         // Commit hash or the explicit "unknown" sentinel — never absent.
         let commit = doc.get("git_commit").and_then(Json::as_str).expect("str");

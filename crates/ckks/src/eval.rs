@@ -718,7 +718,6 @@ impl<'a> Evaluator<'a> {
                 }),
             ));
         }
-        bp_telemetry::counters::add(bp_telemetry::counters::Counter::KeySwitches, 1);
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::KeySwitch);
         let pool = self.ctx.pool();
         let active = d.moduli();

@@ -2,8 +2,10 @@
 //!
 //! For a fixed op program, every counter classified deterministic
 //! (NTT/elementwise/basis/keyswitch/rescale/adjust/eval-op counts — not
-//! the pool-utilization gauges) and the full recorded op sequence must be
-//! bit-identical whether the thread pool runs 1 worker or 4.
+//! the pool-utilization gauges), the full recorded op sequence, and the
+//! span tree's paths with their counts must be bit-identical whether the
+//! thread pool runs 1 worker or 4. The last holds only because pool
+//! workers record their kernel frames under the dispatching op's path.
 //!
 //! Telemetry state is process-global, so this file holds exactly one test
 //! (integration tests get their own process; `#[test]` fns within one
@@ -12,13 +14,17 @@
 #![cfg(feature = "telemetry")]
 
 use bp_ckks::telemetry::counters::{self, Counter};
-use bp_ckks::telemetry::{self, trace};
+use bp_ckks::telemetry::{self, profile, trace};
 use bp_ckks::{BpThreadPool, CkksContext, CkksParams, Representation, SecurityLevel};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use std::sync::Arc;
 
-fn run_program(threads: usize) -> (Vec<(Counter, u64)>, Vec<String>) {
+/// One run's deterministic record: counters, op sequence, and span-tree
+/// `(path, count)` rows.
+type Record = (Vec<(Counter, u64)>, Vec<String>, Vec<(String, u64)>);
+
+fn run_program(threads: usize) -> Record {
     let params = CkksParams::builder()
         .log_n(10)
         .word_bits(28)
@@ -50,6 +56,11 @@ fn run_program(threads: usize) -> (Vec<(Counter, u64)>, Vec<String>) {
     let _ = ev.sub(&low, &adjusted);
 
     let snap = counters::deterministic_snapshot();
+    let paths: Vec<(String, u64)> = profile::snapshot()
+        .paths
+        .into_iter()
+        .map(|p| (p.path, p.count))
+        .collect();
     let ops: Vec<String> = trace::take()
         .entries
         .iter()
@@ -66,13 +77,13 @@ fn run_program(threads: usize) -> (Vec<(Counter, u64)>, Vec<String>) {
         })
         .collect();
     telemetry::reset();
-    (snap, ops)
+    (snap, ops, paths)
 }
 
 #[test]
 fn deterministic_counters_and_op_sequence_are_worker_count_invariant() {
-    let (seq1, ops1) = run_program(1);
-    let (seq4, ops4) = run_program(4);
+    let (seq1, ops1, paths1) = run_program(1);
+    let (seq4, ops4, paths4) = run_program(4);
 
     // Nonzero: the program exercised every deterministic counter class
     // that the pipeline touches.
@@ -105,5 +116,12 @@ fn deterministic_counters_and_op_sequence_are_worker_count_invariant() {
     assert_eq!(
         ops1, ops4,
         "recorded op sequence diverged across worker counts"
+    );
+
+    // Kernel frames nest under the op that ran them.
+    assert!(paths1.iter().any(|(p, _)| p == "mul;keyswitch;ntt_forward"));
+    assert_eq!(
+        paths1, paths4,
+        "span-tree paths or counts diverged across worker counts"
     );
 }

@@ -5,7 +5,8 @@
 #![cfg(not(feature = "telemetry"))]
 
 use bp_ckks::telemetry::counters::{self, Counter};
-use bp_ckks::telemetry::{self, spans, trace};
+use bp_ckks::telemetry::spans::SpanKind;
+use bp_ckks::telemetry::{self, profile, trace};
 use bp_ckks::{CkksContext, CkksParams, Representation, SecurityLevel};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -45,9 +46,15 @@ fn full_op_program_records_nothing_when_compiled_out() {
     for c in Counter::ALL {
         assert_eq!(counters::get(c), 0, "{} must stay zero", c.name());
     }
-    for s in spans::stats() {
-        assert_eq!(s.count, 0);
-        assert_eq!(s.total_ns, 0);
+    let tree = profile::snapshot();
+    assert!(tree.paths.is_empty());
+    for k in SpanKind::ALL {
+        assert_eq!(
+            tree.by_leaf(k.name()),
+            (0, 0),
+            "{} must stay zero",
+            k.name()
+        );
     }
     let tr = trace::take();
     assert!(tr.entries.is_empty());

@@ -51,7 +51,9 @@
 //! With the `telemetry` feature, every parallel fan-out additionally
 //! records pool-utilization statistics (dispatches, chunks, per-worker
 //! busy nanoseconds, max−min chunk imbalance, and fan-outs elided by the
-//! adaptive cutoff) into the `bp-telemetry` counters; without it the
+//! adaptive cutoff) into the `bp-telemetry` counters, and carries the
+//! dispatcher's profiler path into the workers so the kernel frames a
+//! chunk opens nest under the op that dispatched it; without it the
 //! hooks compile to nothing.
 //!
 //! # Why there is one `unsafe` block in this crate
@@ -279,12 +281,14 @@ mod erased {
 }
 
 /// Per-dispatch pool-utilization telemetry: one busy-time slot per chunk,
-/// folded into the global `par_*` counters when the dispatch joins.
+/// folded into the global `par_*` counters when the dispatch joins, and
+/// the dispatcher's profiler path, under which worker chunks record.
 ///
 /// Only constructed when telemetry is live (`None` otherwise), so the
 /// default build pays nothing — no allocation, no clock reads.
 struct FanoutStats {
     chunk_ns: Vec<AtomicU64>,
+    path: Vec<&'static str>,
 }
 
 impl FanoutStats {
@@ -298,6 +302,7 @@ impl FanoutStats {
         counters::add(Counter::ParChunks, chunks as u64);
         Some(Self {
             chunk_ns: (0..chunks).map(|_| AtomicU64::new(0)).collect(),
+            path: bp_telemetry::profile::current_path(),
         })
     }
 
@@ -379,8 +384,14 @@ struct Job {
 impl Job {
     /// Claims and runs chunks until none remain. Runs on workers and on
     /// the participating caller; panics are contained per chunk so the
-    /// latch always resolves and worker threads never unwind.
+    /// latch always resolves and worker threads never unwind. A worker
+    /// (empty profiler stack) runs its chunks under the dispatcher's
+    /// profiler path.
     fn run_chunks(&self) {
+        let _path = self
+            .stats
+            .as_ref()
+            .map(|st| bp_telemetry::profile::enter(&st.path));
         IN_DISPATCH.set(true);
         loop {
             let ci = self.next.fetch_add(1, Ordering::Relaxed);

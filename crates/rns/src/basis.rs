@@ -142,7 +142,6 @@ impl BasisConverter {
                     .collect(),
             });
         }
-        bp_telemetry::counters::add(bp_telemetry::counters::Counter::BasisConversions, 1);
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::BasisConvert);
         let ex = Arc::clone(self.src_tables[0].threads());
         let n = self.src_tables[0].n();

@@ -134,7 +134,6 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
-        bp_telemetry::counters::add(bp_telemetry::counters::Counter::NttForward, 1);
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::NttForward);
         let m = &self.modulus;
         // Pre-scale by psi powers; outputs may stay in [0, 2q).
@@ -153,7 +152,6 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
-        bp_telemetry::counters::add(bp_telemetry::counters::Counter::NttInverse, 1);
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::NttInverse);
         let m = &self.modulus;
         self.cyclic_lazy(a, &self.inv_omega_pows);

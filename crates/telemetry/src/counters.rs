@@ -13,24 +13,35 @@
 //!   nanoseconds, imbalance nanoseconds). These depend on the worker
 //!   count and wall-clock timing and are reported for pool tuning only.
 //!
-//! All updates are relaxed atomic adds; reads are relaxed loads. With the
-//! `enabled` feature off, [`add`] is an inlined empty function and every
-//! read returns zero.
+//! The four spanned kernel counters (forward and inverse NTTs, basis
+//! conversions, keyswitches) are not stored here: each kernel call opens
+//! one [`crate::spans`] frame, so [`get`] reads them from the profiler's
+//! span tree ([`Counter::span_kind`]), and [`add`] on them is a bug.
+//!
+//! All other updates are relaxed atomic adds; reads are relaxed loads.
+//! With the `enabled` feature off, [`add`] is an inlined empty function
+//! and every read returns zero.
+
+use crate::spans::SpanKind;
 
 /// The global counter set. `repr(usize)` indices into a static array.
 #[repr(usize)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Forward negacyclic NTT invocations (one per residue polynomial).
+    /// Derived from the span tree.
     NttForward,
     /// Inverse negacyclic NTT invocations (one per residue polynomial).
+    /// Derived from the span tree.
     NttInverse,
     /// Elementwise residue-polynomial operations (add/sub/mul/…, one per
     /// residue touched).
     ElemwiseOps,
-    /// Approximate RNS basis-conversion kernel invocations.
+    /// Approximate RNS basis-conversion kernel invocations. Derived from
+    /// the span tree.
     BasisConversions,
-    /// Key-switch (digit-decompose + inner-product) invocations.
+    /// Key-switch (digit-decompose + inner-product) invocations. Derived
+    /// from the span tree.
     KeySwitches,
     /// Rescale kernel invocations (`rns_rescale_once` / `scaleDown`).
     Rescales,
@@ -138,6 +149,18 @@ impl Counter {
         }
     }
 
+    /// The span kind whose frames this counter counts, for the kernel
+    /// counters derived from the span tree; `None` for stored counters.
+    pub fn span_kind(self) -> Option<SpanKind> {
+        match self {
+            Counter::NttForward => Some(SpanKind::NttForward),
+            Counter::NttInverse => Some(SpanKind::NttInverse),
+            Counter::BasisConversions => Some(SpanKind::BasisConvert),
+            Counter::KeySwitches => Some(SpanKind::KeySwitch),
+            _ => None,
+        }
+    }
+
     /// `true` for counters whose value is a pure function of the op
     /// program (worker-count independent); `false` for pool-utilization
     /// statistics.
@@ -189,22 +212,43 @@ mod store {
 
 /// Adds `delta` to counter `c`. Feature off: inlined no-op. Feature on
 /// but runtime-disabled: a single relaxed flag load.
+///
+/// # Panics
+/// In debug builds, if `c` is derived from the span tree
+/// ([`Counter::span_kind`]): its kernel records itself by opening a span.
 #[cfg(feature = "enabled")]
 #[inline]
 pub fn add(c: Counter, delta: u64) {
+    debug_assert!(
+        c.span_kind().is_none(),
+        "{} is derived from the span tree",
+        c.name()
+    );
     store::add(c, delta);
 }
 
-/// Adds `delta` to counter `c` (feature off: no-op).
+/// Adds `delta` to counter `c` (feature off: no-op; debug builds still
+/// reject a tree-derived counter).
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
-pub fn add(_c: Counter, _delta: u64) {}
+pub fn add(c: Counter, _delta: u64) {
+    debug_assert!(
+        c.span_kind().is_none(),
+        "{} is derived from the span tree",
+        c.name()
+    );
+}
 
-/// Current value of counter `c` (feature off: always 0).
+/// Current value of counter `c` (feature off: always 0). A tree-derived
+/// counter is its span kind's frame count in
+/// [`crate::profile::snapshot`], which copies the tree: read it per run,
+/// not per kernel.
 #[cfg(feature = "enabled")]
-#[inline]
 pub fn get(c: Counter) -> u64 {
-    store::get(c)
+    match c.span_kind() {
+        Some(kind) => crate::profile::snapshot().by_leaf(kind.name()).0,
+        None => store::get(c),
+    }
 }
 
 /// Current value of counter `c` (feature off: always 0).
@@ -214,8 +258,9 @@ pub fn get(_c: Counter) -> u64 {
     0
 }
 
-/// Zeroes every counter.
-pub fn reset_all() {
+/// Zeroes every stored counter; the tree-derived ones reset with
+/// [`crate::profile::reset`].
+pub(crate) fn reset_all() {
     #[cfg(feature = "enabled")]
     store::reset_all();
 }
@@ -257,5 +302,24 @@ mod tests {
         assert!(!Counter::ParDispatches.deterministic());
         assert!(Counter::NttForward.deterministic());
         assert!(Counter::BytesSerialized.deterministic());
+    }
+
+    #[test]
+    fn derived_counters_map_to_distinct_span_kinds() {
+        let kinds: Vec<SpanKind> = Counter::ALL.iter().filter_map(|c| c.span_kind()).collect();
+        assert_eq!(kinds.len(), 4);
+        let unique: std::collections::HashSet<_> = kinds.iter().collect();
+        assert_eq!(unique.len(), kinds.len());
+        assert!(Counter::ALL
+            .iter()
+            .filter(|c| c.span_kind().is_some())
+            .all(|c| c.deterministic()));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "derived from the span tree")]
+    fn add_on_a_derived_counter_panics_in_debug() {
+        add(Counter::NttForward, 1);
     }
 }

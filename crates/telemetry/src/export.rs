@@ -1,10 +1,11 @@
 //! Metrics exposition: Prometheus text-format 0.0.4 rendering of every
-//! counter, span aggregate, efficiency statistic and registered gauge,
+//! counter, span-kind total, efficiency statistic and registered gauge,
 //! plus a bounded JSONL structured-event ring buffer.
 //!
 //! [`prometheus`] renders a deterministic snapshot of the whole
-//! telemetry surface — counters as `bitpacker_<name>_total`, span
-//! aggregates as labeled `bitpacker_span_*` families, the bit-
+//! telemetry surface — counters as `bitpacker_<name>_total`, per-kind
+//! span totals (read from the profiler's span tree) as labeled
+//! `bitpacker_span_*` families, the bit-
 //! utilization report as gauges plus a native histogram, and any gauges
 //! registered through [`gauge_set`]/[`gauge_add`] (the path `bp-accel`
 //! uses for per-FU occupancy). Output ordering is fixed (declaration
@@ -25,7 +26,8 @@ use crate::counters::{self, Counter};
 use crate::efficiency::{self, WASTE_BUCKET_BOUNDS};
 use crate::events::Event;
 use crate::json::Obj;
-use crate::spans;
+use crate::profile;
+use crate::spans::SpanKind;
 
 /// Environment variable selecting the metrics sink destination:
 /// a file path, or `-` for stdout. Unset: [`flush_to_env`] is a no-op.
@@ -311,18 +313,18 @@ pub fn prometheus() -> String {
         out.push_str(&format!("{name} {}\n", counters::get(c)));
     }
 
-    // Span aggregates, labeled by hot-path kind.
+    // Span-kind totals from the span tree, labeled by hot-path kind.
+    let tree = profile::snapshot();
+    let by_kind = SpanKind::ALL.map(|k| (k.name(), tree.by_leaf(k.name())));
     push_metric(
         &mut out,
         "bitpacker_span_completed_total",
         "Completed RAII timing spans per hot-path kind.",
         "counter",
     );
-    for s in spans::stats() {
+    for (kind, (count, _)) in by_kind {
         out.push_str(&format!(
-            "bitpacker_span_completed_total{{kind=\"{}\"}} {}\n",
-            s.kind.name(),
-            s.count
+            "bitpacker_span_completed_total{{kind=\"{kind}\"}} {count}\n"
         ));
     }
     push_metric(
@@ -331,11 +333,10 @@ pub fn prometheus() -> String {
         "Summed wall-clock seconds per hot-path kind.",
         "counter",
     );
-    for s in spans::stats() {
+    for (kind, (_, ns)) in by_kind {
         out.push_str(&format!(
-            "bitpacker_span_seconds_total{{kind=\"{}\"}} {}\n",
-            s.kind.name(),
-            format_value(s.total_ns as f64 / 1e9)
+            "bitpacker_span_seconds_total{{kind=\"{kind}\"}} {}\n",
+            format_value(ns as f64 / 1e9)
         ));
     }
 

@@ -6,10 +6,12 @@
 //! visibility, organised as four small modules that read as one system:
 //!
 //! * [`counters`] — lock-free global counters for the arithmetic kernels
-//!   (NTT/INTT invocations, elementwise residue ops, basis conversions,
-//!   keyswitches, rescales, residue moves, serialized bytes) and for the
-//!   thread pool (dispatches, chunks, busy time, imbalance),
-//! * [`spans`] — RAII timing spans aggregated per hot-path kind,
+//!   (elementwise residue ops, rescales, residue moves, serialized bytes)
+//!   and for the thread pool (dispatches, chunks, busy time, imbalance);
+//!   the NTT, basis-conversion and keyswitch counts are read from the
+//!   span tree,
+//! * [`spans`] — the typed names of the kernel hot paths, each timed by
+//!   one [`profile`] frame,
 //! * [`events`] — a bounded in-process event stream carrying per-op
 //!   noise/scale snapshots and evaluator repair events,
 //! * [`trace`] — the [`trace::EvalTrace`] op-trace recorder whose JSON
@@ -23,10 +25,11 @@
 //!   histogram, per-level breakdown),
 //! * [`profile`] — a hierarchical profiler nesting RAII frames into a
 //!   span tree with inclusive/exclusive times and flamegraph-compatible
-//!   folded-stack output,
+//!   folded-stack output; pool workers record under their dispatcher's
+//!   path,
 //! * [`export`] — metrics exposition: Prometheus text-format 0.0.4
-//!   rendering of every counter/span/gauge plus a bounded JSONL
-//!   structured-event ring, flushed to the destination named by the
+//!   rendering of every counter, span-kind total and gauge plus a bounded
+//!   JSONL structured-event ring, flushed to the destination named by the
 //!   `BITPACKER_METRICS` environment variable.
 //!
 //! # Feature gating and overhead
@@ -46,6 +49,17 @@
 //!   `0`, `false`, or `off` to disable) or programmatically via
 //!   [`set_enabled`]. Counters are relaxed atomics; the event stream and
 //!   trace recorder are bounded, mutex-guarded vectors.
+//!
+//! # One record per event
+//!
+//! Each fact is recorded once and every report derives from that record:
+//!
+//! * a spanned kernel (NTT, basis conversion, keyswitch, keygen, wire
+//!   I/O) is one [`profile`] frame — its count, time and calling op;
+//! * an evaluator op is one [`trace`] entry (its `duration_ns`, level and
+//!   noise) plus one frame (its place in the tree);
+//! * everything without a span (elementwise ops, residue moves, pool and
+//!   runtime statistics) is a [`counters`] slot.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -124,13 +138,13 @@ pub fn set_enabled(on: bool) {
 #[inline(always)]
 pub fn set_enabled(_on: bool) {}
 
-/// Resets every telemetry store — counters, span aggregates, the event
-/// stream, the trace recorder, the efficiency accumulator, the profiler
-/// tree, and the exposition gauges/ring — to the pristine state.
+/// Resets every telemetry store — counters, the event stream, the trace
+/// recorder, the efficiency accumulator, the profiler tree (and with it
+/// the span-derived counts), and the exposition gauges/ring — to the
+/// pristine state.
 /// Intended for test isolation and windowed reporting.
 pub fn reset() {
     counters::reset_all();
-    spans::reset_all();
     events::reset();
     trace::reset();
     efficiency::reset();

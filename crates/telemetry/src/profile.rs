@@ -7,18 +7,24 @@
 //! path of every frame open above it (`mul;keyswitch;ntt_forward`) and
 //! its own time minus its children's is the path's *exclusive* time —
 //! exactly the folded-stack model used by flamegraph tooling, which
-//! [`SpanTree::folded`] emits directly. The existing [`crate::spans`]
-//! RAII spans open a frame automatically, so keyswitch, basis-convert
-//! and NTT work nests under whichever evaluator op is running; pool
-//! worker threads accumulate their own root paths.
+//! [`SpanTree::folded`] emits directly. The [`crate::spans`] kernel
+//! spans are frames, so keyswitch, basis-convert and NTT work nests under
+//! whichever evaluator op is running, and the tree is the one record of
+//! their count, time and attribution ([`SpanTree::by_leaf`]).
+//!
+//! Pool worker threads have no frames of their own: the dispatcher hands
+//! them its [`current_path`], and [`enter`] re-roots their frames under
+//! it, so a chunk's kernels record the same path at every worker count.
+//! A worker's time is not subtracted from the dispatcher's exclusive
+//! time, since the two run concurrently.
 //!
 //! With the `enabled` feature off, [`Frame`] is a zero-sized inert type
 //! and every entry point compiles to nothing. The [`SpanTree`] data
 //! model compiles regardless so reporting tools build without the
 //! feature.
 
-/// Maximum distinct call paths retained; further new paths are counted
-/// in [`SpanTree::dropped`] rather than recorded.
+/// Maximum distinct call paths retained; a frame at a new path past the
+/// cap is charged to its leaf name in [`SpanTree::overflow`] instead.
 pub const PROFILE_PATH_CAP: usize = 4096;
 
 /// Aggregate timing for one call path.
@@ -41,8 +47,11 @@ pub struct PathStat {
 pub struct SpanTree {
     /// Path rows, ascending lexicographic by path.
     pub paths: Vec<PathStat>,
-    /// New paths discarded because [`PROFILE_PATH_CAP`] was reached.
-    pub dropped: u64,
+    /// Frames whose path arrived after [`PROFILE_PATH_CAP`] was reached,
+    /// one row per leaf name (`path` holds the leaf alone), ascending.
+    /// Their caller is lost; their count and time still reach
+    /// [`SpanTree::by_leaf`].
+    pub overflow: Vec<PathStat>,
 }
 
 impl SpanTree {
@@ -54,11 +63,17 @@ impl SpanTree {
             .map(|i| &self.paths[i])
     }
 
-    /// Summed exclusive nanoseconds over every path whose outermost
-    /// frame is `root` (i.e. the path is `root` or starts with
-    /// `root;`).
-    pub fn inclusive_ns_of_root(&self, root: &str) -> u64 {
-        self.get(root).map(|p| p.inclusive_ns).unwrap_or(0)
+    /// `(count, inclusive_ns)` summed over every frame named `name`,
+    /// whatever called it: the path rows ending in `name` plus its
+    /// [`SpanTree::overflow`] row.
+    pub fn by_leaf(&self, name: &str) -> (u64, u64) {
+        self.paths
+            .iter()
+            .chain(&self.overflow)
+            .filter(|p| p.path.rsplit(';').next() == Some(name))
+            .fold((0, 0), |(count, ns), p| {
+                (count + p.count, ns.saturating_add(p.inclusive_ns))
+            })
     }
 
     /// Flamegraph-compatible folded-stack output: one line per path,
@@ -100,24 +115,28 @@ mod store {
     use super::{PathStat, SpanTree, PROFILE_PATH_CAP};
     use std::cell::RefCell;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
     use std::time::Instant;
 
-    pub struct StackEntry {
-        pub name: &'static str,
-        pub child_ns: u64,
+    struct StackEntry {
+        name: &'static str,
+        child_ns: u64,
     }
 
     thread_local! {
         static STACK: RefCell<Vec<StackEntry>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Per-path accumulator: (count, inclusive ns, exclusive ns).
-    type PathTotals = HashMap<String, (u64, u64, u64)>;
+    /// Per-row accumulator: (count, inclusive ns, exclusive ns).
+    type Row = (u64, u64, u64);
 
-    static TREE: Mutex<Option<PathTotals>> = Mutex::new(None);
-    static DROPPED: AtomicU64 = AtomicU64::new(0);
+    #[derive(Default)]
+    struct Totals {
+        paths: HashMap<String, Row>,
+        overflow: HashMap<&'static str, Row>,
+    }
+
+    static TREE: Mutex<Option<Totals>> = Mutex::new(None);
 
     pub fn open(name: &'static str) -> Instant {
         STACK.with(|s| s.borrow_mut().push(StackEntry { name, child_ns: 0 }));
@@ -126,14 +145,11 @@ mod store {
 
     pub fn close(start: Instant) {
         let inclusive = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let (path, child_ns) = STACK.with(|s| {
+        let closed = STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            let entry = match stack.pop() {
-                Some(e) => e,
-                // Unbalanced close (frame forgotten across threads);
-                // drop the measurement rather than corrupt the tree.
-                None => return (None, 0),
-            };
+            // An unbalanced close (frame forgotten across threads) drops
+            // the measurement rather than corrupt the tree.
+            let entry = stack.pop()?;
             if let Some(parent) = stack.last_mut() {
                 parent.child_ns = parent.child_ns.saturating_add(inclusive);
             }
@@ -143,37 +159,64 @@ mod store {
                 path.push(';');
             }
             path.push_str(entry.name);
-            (Some(path), entry.child_ns)
+            Some((path, entry.name, entry.child_ns))
         });
-        let Some(path) = path else { return };
+        let Some((path, leaf, child_ns)) = closed else {
+            return;
+        };
         let exclusive = inclusive.saturating_sub(child_ns);
         let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
-        let map = guard.get_or_insert_with(HashMap::new);
-        if let Some(row) = map.get_mut(&path) {
-            row.0 += 1;
-            row.1 = row.1.saturating_add(inclusive);
-            row.2 = row.2.saturating_add(exclusive);
-        } else if map.len() < PROFILE_PATH_CAP {
-            map.insert(path, (1, inclusive, exclusive));
-        } else {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-        }
+        let totals = guard.get_or_insert_with(Totals::default);
+        let full = totals.paths.len() >= PROFILE_PATH_CAP;
+        let row = match totals.paths.get_mut(&path) {
+            Some(row) => row,
+            None if full => totals.overflow.entry(leaf).or_default(),
+            None => totals.paths.entry(path).or_default(),
+        };
+        row.0 += 1;
+        row.1 = row.1.saturating_add(inclusive);
+        row.2 = row.2.saturating_add(exclusive);
     }
 
-    fn to_tree(map: &HashMap<String, (u64, u64, u64)>) -> SpanTree {
-        let mut paths: Vec<PathStat> = map
+    pub fn current_path() -> Vec<&'static str> {
+        STACK.with(|s| s.borrow().iter().map(|e| e.name).collect())
+    }
+
+    /// Pushes `path` as untimed entries if the stack is empty; returns
+    /// whether it did.
+    pub fn enter(path: &[&'static str]) -> bool {
+        STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            if !stack.is_empty() {
+                return false;
+            }
+            stack.extend(path.iter().map(|&name| StackEntry { name, child_ns: 0 }));
+            true
+        })
+    }
+
+    pub fn leave() {
+        STACK.with(|s| s.borrow_mut().clear());
+    }
+
+    fn rows<K: AsRef<str>>(map: &HashMap<K, Row>) -> Vec<PathStat> {
+        let mut rows: Vec<PathStat> = map
             .iter()
             .map(|(path, &(count, inclusive_ns, exclusive_ns))| PathStat {
-                path: path.clone(),
+                path: path.as_ref().to_string(),
                 count,
                 inclusive_ns,
                 exclusive_ns,
             })
             .collect();
-        paths.sort_by(|a, b| a.path.cmp(&b.path));
+        rows.sort_by(|a, b| a.path.cmp(&b.path));
+        rows
+    }
+
+    fn to_tree(totals: &Totals) -> SpanTree {
         SpanTree {
-            paths,
-            dropped: DROPPED.load(Ordering::Relaxed),
+            paths: rows(&totals.paths),
+            overflow: rows(&totals.overflow),
         }
     }
 
@@ -184,16 +227,12 @@ mod store {
 
     pub fn take() -> SpanTree {
         let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
-        let tree = guard.as_ref().map(to_tree).unwrap_or_default();
-        *guard = None;
-        DROPPED.store(0, Ordering::Relaxed);
-        tree
+        guard.take().as_ref().map(to_tree).unwrap_or_default()
     }
 
     pub fn reset() {
         let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
         *guard = None;
-        DROPPED.store(0, Ordering::Relaxed);
     }
 }
 
@@ -236,6 +275,55 @@ impl Drop for Frame {
     }
 }
 
+/// The calling thread's open frame names, outermost first (feature off:
+/// empty). A dispatcher captures this to hand to [`enter`] on the
+/// threads that run its work.
+pub fn current_path() -> Vec<&'static str> {
+    #[cfg(feature = "enabled")]
+    {
+        store::current_path()
+    }
+    #[cfg(not(feature = "enabled"))]
+    {
+        Vec::new()
+    }
+}
+
+/// Re-roots the calling thread's frames under `path` until the returned
+/// guard drops. If the thread has no open frame, `path` is pushed as
+/// untimed entries, so frames opened meanwhile record as `path;…`; a
+/// thread with open frames keeps its own stack. Feature off: inert.
+#[inline]
+pub fn enter(path: &[&'static str]) -> PathGuard {
+    #[cfg(feature = "enabled")]
+    {
+        PathGuard {
+            entered: store::enter(path),
+        }
+    }
+    #[cfg(not(feature = "enabled"))]
+    {
+        let _ = path;
+        PathGuard {}
+    }
+}
+
+/// Restores the empty frame stack that [`enter`] found, on drop.
+#[derive(Debug)]
+pub struct PathGuard {
+    #[cfg(feature = "enabled")]
+    entered: bool,
+}
+
+#[cfg(feature = "enabled")]
+impl Drop for PathGuard {
+    fn drop(&mut self) {
+        if self.entered {
+            store::leave();
+        }
+    }
+}
+
 /// A copy of the aggregated span tree, leaving the aggregator in place
 /// (feature off: an empty tree).
 pub fn snapshot() -> SpanTree {
@@ -250,7 +338,9 @@ pub fn snapshot() -> SpanTree {
 }
 
 /// Drains the aggregator, returning the tree accumulated since the last
-/// [`take`] (feature off: an empty tree).
+/// [`take`] (feature off: an empty tree). The kernel counters derived
+/// from the tree ([`crate::counters::Counter::span_kind`]) read zero
+/// afterwards.
 pub fn take() -> SpanTree {
     #[cfg(feature = "enabled")]
     {
@@ -262,8 +352,9 @@ pub fn take() -> SpanTree {
     }
 }
 
-/// Clears the aggregator. Open frames on any thread keep their stacks
-/// and will record into the fresh aggregator when they close.
+/// Clears the aggregator, and with it the tree-derived kernel counters.
+/// Open frames on any thread keep their stacks and will record into the
+/// fresh aggregator when they close.
 pub fn reset() {
     #[cfg(feature = "enabled")]
     store::reset();
@@ -273,11 +364,19 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    // These tests use globally unique frame names and `snapshot()` (no
-    // reset/take) so they cannot race other tests sharing the global
+    use std::sync::{Mutex, MutexGuard};
+
+    // These tests use globally unique frame names and serialize on one
+    // lock, since the path-cap test fills and then resets the global
     // aggregator.
+    fn lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn nested_frames_fold_into_paths_with_exclusive_times() {
+        let _serial = lock();
         crate::set_enabled(true);
         {
             let _outer = frame("outer_test_frame");
@@ -303,6 +402,7 @@ mod tests {
 
     #[test]
     fn sibling_frames_share_a_path_row() {
+        let _serial = lock();
         crate::set_enabled(true);
         {
             let _outer = frame("sib_outer");
@@ -312,5 +412,68 @@ mod tests {
         }
         let tree = snapshot();
         assert_eq!(tree.get("sib_outer;sib_inner").expect("row").count, 3);
+    }
+
+    #[test]
+    fn frames_past_the_path_cap_still_count_by_leaf() {
+        let _serial = lock();
+        crate::set_enabled(true);
+        reset();
+        // Each root adds two paths (`root` and `root;cap_leaf`), so the
+        // cap is reached halfway through and the rest overflow.
+        let roots = PROFILE_PATH_CAP + 10;
+        for i in 0..roots {
+            let name: &'static str = Box::leak(format!("cap_root_{i}").into_boxed_str());
+            let _root = frame(name);
+            let _leaf = frame("cap_leaf");
+        }
+        let tree = snapshot();
+        reset();
+        assert_eq!(tree.paths.len(), PROFILE_PATH_CAP);
+        let overflow = tree.overflow.iter().find(|p| p.path == "cap_leaf");
+        assert!(overflow.is_some_and(|p| p.count > 0));
+        let (count, inclusive_ns) = tree.by_leaf("cap_leaf");
+        assert_eq!(count, roots as u64);
+        let rows = tree.paths.iter().chain(&tree.overflow);
+        let leaf_ns: u64 = rows
+            .filter(|p| p.path.ends_with("cap_leaf"))
+            .map(|p| p.inclusive_ns)
+            .sum();
+        assert_eq!(inclusive_ns, leaf_ns);
+        assert_eq!(tree.by_leaf("cap_root_0"), {
+            let row = tree.get("cap_root_0").expect("first root is retained");
+            (row.count, row.inclusive_ns)
+        });
+    }
+
+    #[test]
+    fn entered_path_roots_the_frames_of_an_empty_stack() {
+        let _serial = lock();
+        crate::set_enabled(true);
+        let path = {
+            let _op = frame("enter_op");
+            current_path()
+        };
+        assert_eq!(path, ["enter_op"]);
+        std::thread::spawn(move || {
+            {
+                let _path = enter(&path);
+                let _kernel = frame("enter_kernel");
+            }
+            assert!(current_path().is_empty(), "the guard restores the stack");
+        })
+        .join()
+        .expect("worker");
+        {
+            // A thread with open frames keeps its own stack.
+            let _own = frame("enter_own");
+            let _path = enter(&["enter_op"]);
+            let _kernel = frame("enter_kernel");
+        }
+        let tree = snapshot();
+        assert_eq!(tree.get("enter_op;enter_kernel").expect("row").count, 1);
+        assert_eq!(tree.get("enter_own;enter_kernel").expect("row").count, 1);
+        assert!(tree.get("enter_kernel").is_none());
+        assert_eq!(tree.by_leaf("enter_kernel").0, 2);
     }
 }

@@ -1,13 +1,13 @@
-//! RAII timing spans aggregated per hot-path kind.
+//! Typed names for the hot paths timed by profiler frames.
 //!
-//! A span is opened with [`span`] and records `(count += 1,
-//! total_ns += elapsed)` into a static per-kind aggregate when dropped.
-//! Aggregates are relaxed atomics, so spans may be open concurrently on
-//! any number of threads. With the `enabled` feature off, [`Span`] is a
-//! zero-sized type and open/drop compile to nothing.
+//! [`span`] opens a [`crate::profile::Frame`] named after a [`SpanKind`].
+//! The frame is the span's only record: its count, time and calling op
+//! all live in the profiler's span tree, and per-kind totals are read
+//! back with [`crate::profile::SpanTree::by_leaf`]. With the `enabled`
+//! feature off the frame is a zero-sized type and open/drop compile to
+//! nothing.
 
 /// Hot paths covered by timing spans.
-#[repr(usize)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Forward NTT of one residue polynomial (`NttTable::forward`).
@@ -18,8 +18,6 @@ pub enum SpanKind {
     BasisConvert,
     /// One hybrid key-switch inner product (`Evaluator::apply_ksk`).
     KeySwitch,
-    /// One evaluator public op (add/mul/rotate/rescale/…), end to end.
-    EvalOp,
     /// Key generation (secret/public/evaluation keys).
     KeyGen,
     /// Ciphertext wire serialization (`write_ciphertext`).
@@ -29,7 +27,7 @@ pub enum SpanKind {
 }
 
 /// Number of span kinds in [`SpanKind::ALL`].
-pub const NUM_SPAN_KINDS: usize = 8;
+pub const NUM_SPAN_KINDS: usize = 7;
 
 impl SpanKind {
     /// Every span kind, in stable report order.
@@ -38,20 +36,19 @@ impl SpanKind {
         SpanKind::NttInverse,
         SpanKind::BasisConvert,
         SpanKind::KeySwitch,
-        SpanKind::EvalOp,
         SpanKind::KeyGen,
         SpanKind::Serialize,
         SpanKind::Deserialize,
     ];
 
-    /// Stable snake_case name used in reports and JSON.
+    /// Stable snake_case name: the frame name in the span tree, and the
+    /// `kind` label in reports and exposition.
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::NttForward => "ntt_forward",
             SpanKind::NttInverse => "ntt_inverse",
             SpanKind::BasisConvert => "basis_convert",
             SpanKind::KeySwitch => "keyswitch",
-            SpanKind::EvalOp => "eval_op",
             SpanKind::KeyGen => "keygen",
             SpanKind::Serialize => "serialize",
             SpanKind::Deserialize => "deserialize",
@@ -59,148 +56,12 @@ impl SpanKind {
     }
 }
 
-/// Aggregate timing for one [`SpanKind`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpanStat {
-    /// Which hot path this aggregates.
-    pub kind: SpanKind,
-    /// Completed span count.
-    pub count: u64,
-    /// Summed wall-clock nanoseconds across completed spans.
-    pub total_ns: u64,
-}
-
-impl SpanStat {
-    /// Mean nanoseconds per span (0 when no spans completed).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-}
-
-#[cfg(feature = "enabled")]
-mod store {
-    use super::{SpanKind, NUM_SPAN_KINDS};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static COUNTS: [AtomicU64; NUM_SPAN_KINDS] = [const { AtomicU64::new(0) }; NUM_SPAN_KINDS];
-    static TOTALS: [AtomicU64; NUM_SPAN_KINDS] = [const { AtomicU64::new(0) }; NUM_SPAN_KINDS];
-
-    #[inline]
-    pub fn record(kind: SpanKind, ns: u64) {
-        COUNTS[kind as usize].fetch_add(1, Ordering::Relaxed);
-        TOTALS[kind as usize].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    pub fn read(kind: SpanKind) -> (u64, u64) {
-        (
-            COUNTS[kind as usize].load(Ordering::Relaxed),
-            TOTALS[kind as usize].load(Ordering::Relaxed),
-        )
-    }
-
-    pub fn reset_all() {
-        for i in 0..NUM_SPAN_KINDS {
-            COUNTS[i].store(0, Ordering::Relaxed);
-            TOTALS[i].store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// An open RAII timing span; records into the per-kind aggregate on drop.
-/// Also holds a [`crate::profile`] frame named after the kind, so span
-/// sites nest into the hierarchical profiler's span tree automatically.
-/// Zero-sized and inert with the `enabled` feature off.
-#[derive(Debug)]
-pub struct Span {
-    #[cfg(feature = "enabled")]
-    live: Option<(SpanKind, std::time::Instant)>,
-    #[cfg(feature = "enabled")]
-    _frame: crate::profile::Frame,
-}
-
-/// Opens a span over hot path `kind`. The span measures from this call
-/// until it is dropped. If telemetry is not live at open time, the span
-/// is inert (no clock read at either end).
+/// Opens a profiler frame over hot path `kind`, measured from this call
+/// until it is dropped (one clock read at each end). Inert when
+/// telemetry is not live at open time.
 #[inline]
-pub fn span(kind: SpanKind) -> Span {
-    #[cfg(feature = "enabled")]
-    {
-        Span {
-            live: if crate::enabled() {
-                Some((kind, std::time::Instant::now()))
-            } else {
-                None
-            },
-            _frame: crate::profile::frame(kind.name()),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = kind;
-        Span {}
-    }
-}
-
-#[cfg(feature = "enabled")]
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((kind, start)) = self.live.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            store::record(kind, ns);
-        }
-    }
-}
-
-/// Records a completed span of `ns` nanoseconds directly, without the
-/// RAII wrapper (used when the duration was measured by a
-/// [`crate::Stopwatch`]). Feature off: no-op.
-#[cfg(feature = "enabled")]
-#[inline]
-pub fn record(kind: SpanKind, ns: u64) {
-    if crate::enabled() {
-        store::record(kind, ns);
-    }
-}
-
-/// Records a completed span directly (feature off: no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn record(_kind: SpanKind, _ns: u64) {}
-
-/// Aggregate stats for one span kind (feature off: zeros).
-pub fn stat(kind: SpanKind) -> SpanStat {
-    #[cfg(feature = "enabled")]
-    {
-        let (count, total_ns) = store::read(kind);
-        SpanStat {
-            kind,
-            count,
-            total_ns,
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        SpanStat {
-            kind,
-            count: 0,
-            total_ns: 0,
-        }
-    }
-}
-
-/// Aggregate stats for every span kind, in [`SpanKind::ALL`] order.
-pub fn stats() -> Vec<SpanStat> {
-    SpanKind::ALL.iter().map(|&k| stat(k)).collect()
-}
-
-/// Zeroes every span aggregate.
-pub fn reset_all() {
-    #[cfg(feature = "enabled")]
-    store::reset_all();
+pub fn span(kind: SpanKind) -> crate::profile::Frame {
+    crate::profile::frame(kind.name())
 }
 
 #[cfg(test)]
@@ -213,15 +74,5 @@ mod tests {
         for k in SpanKind::ALL {
             assert!(seen.insert(k.name()), "duplicate span name {}", k.name());
         }
-    }
-
-    #[test]
-    fn mean_of_empty_stat_is_zero() {
-        let s = SpanStat {
-            kind: SpanKind::EvalOp,
-            count: 0,
-            total_ns: 0,
-        };
-        assert_eq!(s.mean_ns(), 0.0);
     }
 }

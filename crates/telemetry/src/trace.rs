@@ -4,9 +4,10 @@
 //! model.
 //!
 //! Recording goes through a single entry point, [`record_op`], which
-//! bumps the `eval_ops` counter, folds the duration into the `eval_op`
-//! span aggregate, emits an [`crate::events::Event::Op`] on the event
-//! stream, and appends a [`TraceEntry`] to the global recorder. The
+//! bumps the `eval_ops` counter, emits an [`crate::events::Event::Op`] on
+//! the event stream, and appends a [`TraceEntry`] to the global recorder.
+//! The entry's `duration_ns` is the only per-op time record besides the
+//! op's profiler frame. The
 //! recorder is drained with [`take`], yielding an [`EvalTrace`].
 //!
 //! The data model ([`OpKind`], [`TraceEntry`], [`TraceMeta`],
@@ -17,8 +18,6 @@
 #[cfg(feature = "enabled")]
 use crate::counters::{self, Counter};
 use crate::json::{Json, JsonError, Obj};
-#[cfg(feature = "enabled")]
-use crate::spans::{self, SpanKind};
 
 /// Schema identifier written into serialized traces, and the only one
 /// [`EvalTrace::from_json`] reads. Defined in `bp-ir`, whose program
@@ -330,8 +329,8 @@ pub fn set_meta(meta: TraceMeta) {
 }
 
 /// Records one completed evaluator op: bumps the `eval_ops` counter,
-/// folds the duration into the `eval_op` span aggregate, emits an
-/// [`crate::events::Event::Op`], and appends to the trace recorder.
+/// emits an [`crate::events::Event::Op`], and appends to the trace
+/// recorder.
 /// Feature off: inlined no-op.
 #[inline]
 pub fn record_op(op: OpRecord) {
@@ -339,7 +338,6 @@ pub fn record_op(op: OpRecord) {
     {
         if crate::enabled() {
             counters::add(Counter::EvalOps, 1);
-            spans::record(SpanKind::EvalOp, op.duration_ns);
             if let Some(entry) = store::push(op) {
                 crate::events::emit(crate::events::Event::Op(entry));
             }

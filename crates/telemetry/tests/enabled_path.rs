@@ -6,6 +6,7 @@
 
 use bp_telemetry::counters::{self, Counter};
 use bp_telemetry::events::{self, Event, RepairKind};
+use bp_telemetry::profile;
 use bp_telemetry::spans::{self, SpanKind};
 use bp_telemetry::trace::{self, OpKind, OpRecord, TraceMeta};
 
@@ -33,23 +34,30 @@ fn counters_spans_events_and_trace_flow_together() {
     bp_telemetry::reset();
 
     // Counters accumulate and reset.
-    counters::add(Counter::NttForward, 3);
-    counters::add(Counter::NttForward, 2);
+    counters::add(Counter::ElemwiseOps, 3);
+    counters::add(Counter::ElemwiseOps, 2);
     counters::add(Counter::ParBusyNs, 10);
-    assert_eq!(counters::get(Counter::NttForward), 5);
+    assert_eq!(counters::get(Counter::ElemwiseOps), 5);
     let det = counters::deterministic_snapshot();
-    assert!(det.iter().any(|&(c, v)| c == Counter::NttForward && v == 5));
+    assert!(det
+        .iter()
+        .any(|&(c, v)| c == Counter::ElemwiseOps && v == 5));
     assert!(det.iter().all(|&(c, _)| c.deterministic()));
 
-    // Spans aggregate count + total.
-    {
+    // Spans are profiler frames: the tree counts them per kind, and the
+    // kernel counter mapped to the kind reads the same count.
+    for _ in 0..2 {
         let _sp = spans::span(SpanKind::BasisConvert);
         std::hint::black_box(42u64);
     }
-    spans::record(SpanKind::BasisConvert, 1_000);
-    let stat = spans::stat(SpanKind::BasisConvert);
-    assert_eq!(stat.count, 2);
-    assert!(stat.total_ns >= 1_000);
+    let (count, total_ns) = profile::snapshot().by_leaf(SpanKind::BasisConvert.name());
+    assert_eq!(count, 2);
+    assert!(total_ns > 0);
+    assert_eq!(counters::get(Counter::BasisConversions), 2);
+    let det = counters::deterministic_snapshot();
+    assert!(det
+        .iter()
+        .any(|&(c, v)| c == Counter::BasisConversions && v == 2));
 
     // Ops and repairs interleave on one event stream, and the trace
     // recorder sequences the same ops.
@@ -69,7 +77,6 @@ fn counters_spans_events_and_trace_flow_together() {
     record(OpKind::Add, 200);
 
     assert_eq!(counters::get(Counter::EvalOps), 2);
-    assert_eq!(spans::stat(SpanKind::EvalOp).count, 2);
 
     let stream = events::drain();
     assert_eq!(stream.len(), 3);
@@ -99,19 +106,27 @@ fn counters_spans_events_and_trace_flow_together() {
     // The runtime gate stops recording without a rebuild.
     bp_telemetry::set_enabled(false);
     record(OpKind::Sub, 100);
-    counters::add(Counter::NttForward, 7);
+    counters::add(Counter::ElemwiseOps, 7);
     assert_eq!(
-        counters::get(Counter::NttForward),
+        counters::get(Counter::ElemwiseOps),
         5,
         "gated add is a no-op"
     );
+    {
+        let _sp = spans::span(SpanKind::BasisConvert);
+    }
+    assert_eq!(counters::get(Counter::BasisConversions), 2, "gated span");
     assert!(trace::take().entries.is_empty());
     bp_telemetry::set_enabled(true);
 
     // Full reset clears every store.
     bp_telemetry::reset();
-    assert_eq!(counters::get(Counter::NttForward), 0);
-    assert_eq!(spans::stat(SpanKind::BasisConvert).count, 0);
+    assert_eq!(counters::get(Counter::ElemwiseOps), 0);
+    assert_eq!(counters::get(Counter::BasisConversions), 0);
+    assert_eq!(
+        profile::snapshot().by_leaf(SpanKind::BasisConvert.name()),
+        (0, 0)
+    );
     assert!(events::drain().is_empty());
     assert!(trace::take().entries.is_empty());
 }

@@ -11,6 +11,7 @@ use bp_telemetry::efficiency::{self, PackingSample};
 use bp_telemetry::events::{self, Event, RepairKind};
 use bp_telemetry::export;
 use bp_telemetry::profile;
+use bp_telemetry::spans::{self, SpanKind};
 use bp_telemetry::trace::OpKind;
 
 fn parse_metric(doc: &str, line_prefix: &str) -> f64 {
@@ -123,6 +124,24 @@ fn exposition_escaping_monotonicity_ordering_and_ring() {
     );
     assert!(lines.last().expect("tail").contains("\"type\":\"repair\""));
     assert!(export::drain_jsonl().is_empty(), "drain empties the ring");
+
+    // --- Span families read the span tree: the `ntt_forward` kind and
+    // the counter derived from it are one record. ---
+    for _ in 0..3 {
+        let _op = profile::frame("export_op");
+        let _ntt = spans::span(SpanKind::NttForward);
+    }
+    let doc = export::prometheus();
+    let spans_done = parse_metric(
+        &doc,
+        "bitpacker_span_completed_total{kind=\"ntt_forward\"} ",
+    );
+    assert_eq!(spans_done, 3.0);
+    assert_eq!(
+        spans_done,
+        parse_metric(&doc, "bitpacker_ntt_forward_total ")
+    );
+    assert!(parse_metric(&doc, "bitpacker_span_seconds_total{kind=\"ntt_forward\"} ") > 0.0);
 
     // --- Profiler paths render in folded output. ---
     {
